@@ -66,6 +66,17 @@ cargo clippy --all-targets -- -D warnings
 # Deny-by-default: any unannotated finding fails the build.
 cargo run --release -p udt-lint
 
+# Benchmark smoke, churn workload: sequential connect / 64-byte exchange /
+# close through the public socket API. Every connection must complete
+# (final JSON line: "correct":true, "failed":0); a teardown regression
+# that leaves a peer without a clean EOF shows up here as a failed op.
+python3 perfbench/run.py --workload churn --seed 1 --seconds 10 --trace 0 | tail -n 1 |
+  python3 -c 'import json, sys
+r = json.loads(sys.stdin.read())
+ok = r.get("correct") is True and r.get("failed") == 0
+print("churn benchmark:", "ok" if ok else "FAILED", r.get("attempted"), "ops,", r.get("failed"), "failed")
+sys.exit(0 if ok else 1)'
+
 # Bounded model check: exhaustive DFS over small delivery schedules through
 # the real buffer/loss-list code, at initial sequence numbers 0, SEQ_MAX and
 # SEQ_MAX-2 (~270k states; violations print a replayable seed).

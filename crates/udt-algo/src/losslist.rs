@@ -69,7 +69,10 @@ impl Node {
 /// The appendix loss list: static circular array of `[start, end]` nodes.
 #[derive(Debug, Clone)]
 pub struct LossList {
+    /// The circular array, allocated at the first insert: a connection
+    /// that never loses a packet never pays for it.
     slots: Vec<Option<Node>>,
+    capacity: usize,
     head: i32,
     len_pkts: usize,
     overflows: u64,
@@ -90,7 +93,8 @@ impl LossList {
     pub fn new(capacity: usize) -> LossList {
         assert!(capacity >= 2, "loss list capacity must be at least 2");
         LossList {
-            slots: vec![None; capacity],
+            slots: Vec::new(),
+            capacity,
             head: -1,
             len_pkts: 0,
             overflows: 0,
@@ -187,7 +191,7 @@ impl LossList {
 
     #[inline]
     fn cap(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Slot shifted forward by `delta` sequence steps (may be negative).
@@ -216,6 +220,9 @@ impl LossList {
         debug_assert!(from.le_seq(to), "reversed loss range");
         let before = self.len_pkts;
         if self.head < 0 {
+            if self.slots.is_empty() {
+                self.slots = vec![None; self.capacity];
+            }
             self.slots[0] = Some(Node::new(from, to, now));
             self.head = 0;
             self.len_pkts += from.len_to(to) as usize;
@@ -701,6 +708,19 @@ mod tests {
 
     fn sq(v: u32) -> SeqNo {
         SeqNo::new(v)
+    }
+
+    #[test]
+    fn array_is_allocated_at_the_first_loss() {
+        let mut l = LossList::new(16_384);
+        assert!(l.slots.is_empty());
+        assert!(l.pop_first().is_none());
+        l.remove_upto(sq(10));
+        assert!(l.slots.is_empty(), "reads and no-op removals allocate nothing");
+        l.insert(sq(5), sq(7));
+        assert_eq!(l.slots.len(), 16_384);
+        assert_eq!(flat(&l), vec![5, 6, 7]);
+        l.check_invariants().unwrap();
     }
 
     fn flat(l: &LossList) -> Vec<u32> {

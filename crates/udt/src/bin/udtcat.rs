@@ -28,8 +28,8 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use udt::{
-    bonded_accept, bonded_connect, AuthPolicy, PreSharedKey, RetryPolicy, UdtConfig,
-    UdtConnection, UdtListener,
+    bonded_accept, bonded_connect, drain_closing, AuthPolicy, PreSharedKey, RetryPolicy,
+    UdtConfig, UdtConnection, UdtListener,
 };
 use udt_multipath::BondedCfg;
 
@@ -144,7 +144,7 @@ fn main() -> ExitCode {
         },
         _ => return usage(),
     };
-    match mode.as_str() {
+    let code = match mode.as_str() {
         "listen" if bonded > 0 => listen_bonded(addr, bonded, base_cfg),
         "listen" => listen(addr, base_cfg),
         _ if !extra_paths.is_empty() => {
@@ -157,7 +157,11 @@ fn main() -> ExitCode {
             connect_bonded(&addrs, &base_cfg)
         }
         _ => connect(addr, retries, base_cfg),
-    }
+    };
+    // close() returns after the first Shutdown copy; let the spaced rest
+    // reach the peer before the process exits.
+    drain_closing(Duration::from_secs(1));
+    code
 }
 
 fn listen(addr: SocketAddr, cfg: UdtConfig) -> ExitCode {

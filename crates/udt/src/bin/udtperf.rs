@@ -39,8 +39,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use udt::{
-    bonded_accept, bonded_connect, throughput_between, AuthPolicy, PreSharedKey, Tracer,
-    UdtConfig, UdtConnection, UdtListener,
+    bonded_accept, bonded_connect, drain_closing, throughput_between, AuthPolicy, PreSharedKey,
+    Tracer, UdtConfig, UdtConnection, UdtListener,
 };
 use udt_multipath::BondedCfg;
 use udt_trace::event::{EventKind, TraceEvent};
@@ -172,6 +172,9 @@ fn main() {
         }
         _ => usage(),
     }
+    // close() returns after the first Shutdown copy; let the spaced rest
+    // reach the peer before the process exits.
+    drain_closing(Duration::from_secs(1));
 }
 
 /// Write the tracer's retained events (periodic `perf`/`cpu` samples plus

@@ -140,7 +140,10 @@ pub enum InsertOutcome {
 /// Sequence-addressed receive ring.
 #[derive(Debug, Clone)]
 pub struct RcvBuffer {
+    /// Ring storage, grown on demand up to `cap` slots: a short-lived
+    /// connection touches a few slots, not the whole window.
     slots: Vec<Option<Bytes>>,
+    cap: usize,
     /// First undelivered sequence number.
     base_seq: SeqNo,
     base_slot: usize,
@@ -154,7 +157,8 @@ impl RcvBuffer {
     pub fn new(cap_pkts: usize, init_seq: SeqNo) -> RcvBuffer {
         assert!(cap_pkts >= 2);
         RcvBuffer {
-            slots: vec![None; cap_pkts],
+            slots: Vec::new(),
+            cap: cap_pkts,
             base_seq: init_seq,
             base_slot: 0,
             front_consumed: 0,
@@ -164,7 +168,13 @@ impl RcvBuffer {
 
     /// Capacity in packets.
     pub fn cap_pkts(&self) -> usize {
-        self.slots.len()
+        self.cap
+    }
+
+    /// The payload in `slot`, if any (slots past the grown storage are
+    /// empty).
+    fn at(&self, slot: usize) -> Option<&Bytes> {
+        self.slots.get(slot).and_then(Option::as_ref)
     }
 
     /// First undelivered sequence number.
@@ -183,12 +193,16 @@ impl RcvBuffer {
         if off < 0 {
             return InsertOutcome::Duplicate;
         }
-        if off as usize >= self.slots.len() {
+        if off as usize >= self.cap {
             return InsertOutcome::OutOfWindow;
         }
-        let slot = (self.base_slot + off as usize) % self.slots.len();
-        if self.slots[slot].is_some() {
+        let slot = (self.base_slot + off as usize) % self.cap;
+        if self.at(slot).is_some() {
             return InsertOutcome::Duplicate;
+        }
+        if slot >= self.slots.len() {
+            let grown = (slot + 1).max(self.slots.len() * 2).min(self.cap);
+            self.slots.resize(grown, None);
         }
         self.buffered_bytes += payload.len();
         self.slots[slot] = Some(payload);
@@ -205,7 +219,7 @@ impl RcvBuffer {
         let mut slot = self.base_slot;
         let mut first = true;
         while seq.lt_seq(deliverable_upto) {
-            match &self.slots[slot] {
+            match self.at(slot) {
                 Some(b) => {
                     n += b.len() - if first { self.front_consumed } else { 0 };
                 }
@@ -213,7 +227,7 @@ impl RcvBuffer {
             }
             first = false;
             seq = seq.next();
-            slot = (slot + 1) % self.slots.len();
+            slot = (slot + 1) % self.cap;
         }
         n
     }
@@ -223,7 +237,7 @@ impl RcvBuffer {
     pub fn read(&mut self, out: &mut [u8], deliverable_upto: SeqNo) -> usize {
         let mut copied = 0;
         while copied < out.len() && self.base_seq.lt_seq(deliverable_upto) {
-            let Some(chunk) = &self.slots[self.base_slot] else {
+            let Some(chunk) = self.slots.get(self.base_slot).and_then(Option::as_ref) else {
                 break;
             };
             let avail = chunk.len() - self.front_consumed;
@@ -235,7 +249,7 @@ impl RcvBuffer {
             self.buffered_bytes -= take;
             if self.front_consumed == chunk.len() {
                 self.slots[self.base_slot] = None;
-                self.base_slot = (self.base_slot + 1) % self.slots.len();
+                self.base_slot = (self.base_slot + 1) % self.cap;
                 self.base_seq = self.base_seq.next();
                 self.front_consumed = 0;
             }
@@ -249,7 +263,7 @@ impl RcvBuffer {
     /// (drift either way means bytes were dropped or delivered twice), and
     /// the partial-read cursor must sit strictly inside the front chunk.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if self.base_slot >= self.slots.len() {
+        if self.base_slot >= self.cap || self.slots.len() > self.cap {
             return Err(format!("base slot {} out of range", self.base_slot));
         }
         let mut total = 0usize;
@@ -264,7 +278,7 @@ impl RcvBuffer {
             ));
         }
         if self.front_consumed > 0 {
-            match &self.slots[self.base_slot] {
+            match self.at(self.base_slot) {
                 Some(front) if self.front_consumed < front.len() => {}
                 Some(front) => {
                     return Err(format!(
@@ -292,7 +306,7 @@ impl RcvBuffer {
         {
             use std::sync::atomic::{AtomicU64, Ordering};
             static NTH: AtomicU64 = AtomicU64::new(0);
-            if self.slots.len() > 512 && !NTH.fetch_add(1, Ordering::Relaxed).is_multiple_of(64) {
+            if self.cap > 512 && !NTH.fetch_add(1, Ordering::Relaxed).is_multiple_of(64) {
                 return;
             }
             if let Err(e) = self.check_invariants() {
@@ -316,6 +330,26 @@ mod tests {
 
     fn sq(v: u32) -> SeqNo {
         SeqNo::new(v)
+    }
+
+    #[test]
+    fn rcv_ring_storage_grows_on_demand() {
+        let mut b = RcvBuffer::new(8192, sq(100));
+        assert!(b.slots.is_empty(), "nothing allocated before the first packet");
+        assert_eq!(b.insert(sq(100), Bytes::from_static(b"a")), InsertOutcome::Stored);
+        assert_eq!(b.insert(sq(102), Bytes::from_static(b"c")), InsertOutcome::Stored);
+        assert_eq!(b.slots.len(), 3);
+        assert_eq!(b.readable_bytes(sq(103)), 1, "the gap at 101 stops delivery");
+        assert_eq!(b.insert(sq(101), Bytes::from_static(b"b")), InsertOutcome::Stored);
+        let mut out = [0u8; 8];
+        assert_eq!(b.read(&mut out, sq(103)), 3);
+        assert_eq!(&out[..3], b"abc");
+        assert_eq!(b.cap_pkts(), 8192);
+        assert_eq!(
+            b.insert(sq(103 + 8192), Bytes::from_static(b"x")),
+            InsertOutcome::OutOfWindow
+        );
+        b.check_invariants().unwrap();
     }
 
     #[test]

@@ -653,11 +653,22 @@ impl UdtConnection {
     }
 
     /// Flush and close. Blocks (up to the configured linger) until the
-    /// peer has acknowledged everything, then sends Shutdown.
+    /// peer has acknowledged everything — returning
+    /// [`UdtError::FlushTimeout`] if it has not by then — then sends one
+    /// final ACK and the first Shutdown copy, stops both protocol threads
+    /// and releases the connection's route on the shared socket. The
+    /// remaining spaced Shutdown copies go out from a background thread
+    /// after this returns (see [`crate::drain_closing`] for processes
+    /// about to exit).
+    ///
+    /// Idempotent: once the connection is closed — by this side, by the
+    /// peer's Shutdown, or by a broken path — further calls only make sure
+    /// the threads are joined and the route released, and return `Ok`.
     pub fn close(&self) -> Result<()> {
         let sh = &self.sh;
         if matches!(sh.state(), State::Closed | State::Broken) {
             self.join_threads();
+            sh.mux.unregister(sh.local_id);
             return Ok(());
         }
         sh.set_state(State::Closing);
@@ -683,17 +694,17 @@ impl UdtConnection {
         // Emit one final ACK so the peer's send side settles before it sees
         // our Shutdown (the ACK timer may not have fired yet).
         send_periodic_ack(sh, now);
-        // Shutdown is fire-and-forget; send a few copies for loss
-        // tolerance — spaced out, because back-to-back copies share one
-        // queue state on a congested path and are dropped together. A
-        // peer that misses every copy only learns of our death through
-        // its EXP ladder, turning a clean EOF into `Broken`.
-        for i in 0..3 {
-            if i > 0 {
-                std::thread::sleep(Duration::from_millis(15));
-            }
-            sh.send_ctrl(ControlBody::Shutdown, sh.clock.now());
-        }
+        // The first Shutdown copy goes out now; the linger worker sends
+        // the spaced rest (see `crate::linger` for why there are several).
+        let mut tail = crate::linger::Tail::new(
+            Arc::clone(&sh.mux),
+            sh.peer_addr,
+            sh.peer_id,
+            sh.auth.clone(),
+            sh.clock,
+        );
+        tail.send_copy(&sh.instr);
+        crate::linger::schedule(tail);
         sh.set_state(State::Closed);
         self.join_threads();
         sh.mux.unregister(sh.local_id);
@@ -714,12 +725,7 @@ impl UdtConnection {
 
 impl Drop for UdtConnection {
     fn drop(&mut self) {
-        if !matches!(self.sh.state(), State::Closed | State::Broken) {
-            let _ = self.close();
-        } else {
-            self.join_threads();
-            self.sh.mux.unregister(self.sh.local_id);
-        }
+        let _ = self.close();
     }
 }
 
@@ -1478,6 +1484,37 @@ mod tests {
 
     fn sq(v: u32) -> SeqNo {
         SeqNo::new(v)
+    }
+
+    #[test]
+    fn close_after_peer_shutdown_releases_route_and_is_idempotent() {
+        use crate::socket::UdtListener;
+
+        let listener =
+            UdtListener::bind("127.0.0.1:0".parse().unwrap(), UdtConfig::default()).unwrap();
+        let addr = listener.local_addr();
+        let server = std::thread::spawn(move || {
+            let conn = listener.accept().unwrap();
+            conn.send(b"bye").unwrap();
+            conn.close().unwrap();
+            listener
+        });
+        let conn = UdtConnection::connect(addr, UdtConfig::default()).unwrap();
+        let mut buf = [0u8; 8];
+        conn.recv_exact(&mut buf[..3]).unwrap();
+        assert_eq!(conn.recv(&mut buf).unwrap(), 0, "peer Shutdown is a clean EOF");
+        assert_eq!(conn.sh.state(), State::Closed);
+        // The peer closed us: the route (and any auth context) is still
+        // registered until close() releases it.
+        assert!(conn.sh.mux.is_routed(conn.sh.local_id));
+        conn.close().unwrap();
+        assert!(!conn.sh.mux.is_routed(conn.sh.local_id));
+        assert!(
+            !conn.sh.mux.demux_running(),
+            "a client mux with no connection left stops its demux thread"
+        );
+        conn.close().unwrap();
+        drop(server.join().unwrap());
     }
 
     #[test]

@@ -42,6 +42,8 @@
 //! let conn = UdtConnection::connect("127.0.0.1:9000".parse().unwrap(), UdtConfig::default()).unwrap();
 //! conn.send(b"hello over UDT").unwrap();
 //! conn.close().unwrap();
+//! // Before exiting: let the trailing Shutdown copies go out.
+//! udt::drain_closing(std::time::Duration::from_secs(1));
 //! ```
 //!
 //! Architectural notes (deviations from the 2004 C++ code are listed in
@@ -61,6 +63,7 @@ pub mod datapath;
 pub mod error;
 pub mod file;
 pub mod instrument;
+pub(crate) mod linger;
 pub(crate) mod mmsg;
 pub(crate) mod mux;
 pub mod obs;
@@ -77,6 +80,7 @@ pub use config::{CcChoice, RetryPolicy, UdtConfig};
 pub use conn::UdtConnection;
 pub use error::UdtError;
 pub use instrument::{Category, Instrument};
+pub use linger::drain_closing;
 pub use obs::MetricsHub;
 pub use perfmon::{throughput_between, PerfSnapshot};
 pub use resilience::{serve_download, ResilientSession, ResumableFileSink, SessionTable};

@@ -23,7 +23,7 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, UdpSocket};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -386,10 +386,32 @@ impl Mux {
         rx
     }
 
-    /// Remove a connection queue (and its auth context, if any).
+    /// Remove a connection queue (and its auth context, if any). A mux
+    /// left with no connection and no listener — a client's, once its
+    /// connection closes — stops its demux thread at once; the socket
+    /// stays open for sends until the last `Arc` drops.
     pub fn unregister(&self, local_id: u32) {
-        self.conns.lock().remove(&local_id);
+        let idle = {
+            let mut conns = self.conns.lock();
+            conns.remove(&local_id);
+            conns.is_empty()
+        };
         self.auth.lock().remove(&local_id);
+        if idle && self.listener.lock().is_none() {
+            self.shutdown();
+        }
+    }
+
+    /// Whether `local_id` still has a route or an auth context here.
+    #[cfg(test)]
+    pub(crate) fn is_routed(&self, local_id: u32) -> bool {
+        self.conns.lock().contains_key(&local_id) || self.auth.lock().contains_key(&local_id)
+    }
+
+    /// Whether the demux thread is still attached (not yet shut down).
+    #[cfg(test)]
+    pub(crate) fn demux_running(&self) -> bool {
+        self.thread.lock().is_some()
     }
 
     /// Install (or replace) the authenticated-profile context for
@@ -505,17 +527,26 @@ impl Mux {
         })
     }
 
-    /// Ask the demux thread to exit (it also exits when the last Arc
-    /// drops).
+    /// Stop the demux thread and wait for it; idempotent. The thread is
+    /// woken out of its blocking receive by an empty datagram to our own
+    /// port instead of waiting out the read timeout, and the listener
+    /// queue is closed so a handshake service blocked on it returns too.
+    /// The socket itself stays usable for sends.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-    }
-}
-
-impl Drop for Mux {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.thread.lock().take() {
+        if !self.stop.swap(true, Ordering::AcqRel) {
+            *self.listener.lock() = None;
+            let mut wake = self.local_addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            // Best effort: on failure the read timeout still ends the wait.
+            let _ = self.socket.send_to(&[], wake);
+        }
+        let handle = self.thread.lock().take();
+        if let Some(h) = handle {
             // The final Arc can be dropped *by the demux thread itself*
             // (it briefly upgrades its Weak); joining ourselves would
             // deadlock, so let the thread wind down on its own then.
@@ -523,6 +554,16 @@ impl Drop for Mux {
                 let _ = h.join();
             }
         }
+        // Nothing receives any more: free the receive buffers now rather
+        // than when the last `Arc` (possibly a closing connection's
+        // Shutdown tail) lets go of the mux.
+        self.pool.release();
+    }
+}
+
+impl Drop for Mux {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 
@@ -702,6 +743,51 @@ mod tests {
         )
         .unwrap();
         assert!(recv_one(&q, Duration::from_secs(2)).is_some());
+    }
+
+    #[test]
+    fn last_unregister_stops_a_client_demux_promptly() {
+        // Bound to the unspecified address: the wake-up goes via loopback.
+        let a = bind_test("0.0.0.0:0");
+        let b = bind_test("127.0.0.1:0");
+        let q5 = a.register(5, 64);
+        let instr = Instrument::default();
+        // A delivered datagram restarts the demux's 100 ms read timeout,
+        // so a shutdown that waited it out would take ~90 ms here.
+        let to_a = SocketAddr::from(([127, 0, 0, 1], a.local_addr().port()));
+        b.send(&Packet::Control(ControlPacket::keepalive(5)), to_a, &instr)
+            .unwrap();
+        assert!(recv_one(&q5, Duration::from_secs(2)).is_some());
+        std::thread::sleep(Duration::from_millis(10));
+        let t0 = std::time::Instant::now();
+        a.unregister(5);
+        assert!(
+            t0.elapsed() < Duration::from_millis(60),
+            "demux waited out its read timeout: {:?}",
+            t0.elapsed()
+        );
+        assert!(!a.demux_running());
+        assert_eq!(a.pool.occupancy(), (0, 0), "receive buffers freed");
+        // The socket outlives the demux thread for sends.
+        let q = b.register(9, 64);
+        a.send(
+            &Packet::Control(ControlPacket::keepalive(9)),
+            b.local_addr(),
+            &instr,
+        )
+        .unwrap();
+        assert!(recv_one(&q, Duration::from_secs(2)).is_some());
+    }
+
+    #[test]
+    fn listener_mux_keeps_its_demux_without_connections() {
+        let b = bind_test("127.0.0.1:0");
+        let _lq = b.set_listener();
+        let _q = b.register(5, 64);
+        b.unregister(5);
+        assert!(b.demux_running());
+        b.shutdown();
+        assert!(!b.demux_running());
     }
 
     #[test]

@@ -180,6 +180,14 @@ impl BufPool {
         retired.push_back(handle.clone());
     }
 
+    /// Free every pooled buffer (retired handles still read elsewhere
+    /// free when their last reader drops). For a pool whose receive side
+    /// has stopped for good.
+    pub(crate) fn release(&self) {
+        self.free.lock().clear();
+        self.retired.lock().clear();
+    }
+
     /// Point-in-time pool occupancy `(free, retired)`.
     #[cfg(test)]
     pub(crate) fn occupancy(&self) -> (usize, usize) {

@@ -76,5 +76,8 @@ fn main() {
     assert_eq!(a, b, "file copies differ");
     println!("integrity check: OK (files are byte-identical)");
     let _ = std::fs::remove_dir_all(&dir);
+    // close() returned after the first Shutdown copy; let the spaced
+    // rest cross the emulated link before it and the process go away.
+    udt::drain_closing(Duration::from_secs(1));
     emu.shutdown();
 }

@@ -11,7 +11,7 @@
 // Example code: sizes fit comfortably in the cast-to types.
 #![allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use udt::{UdtConfig, UdtConnection, UdtListener};
 
@@ -81,4 +81,8 @@ fn main() {
         udt::ConnStats::get(&stats.acks_received),
         udt::ConnStats::get(&stats.naks_received),
     );
+
+    // close() returned after the first Shutdown copy; let the spaced
+    // rest reach the peer before the process exits.
+    udt::drain_closing(Duration::from_secs(1));
 }

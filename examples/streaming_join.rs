@@ -110,6 +110,9 @@ fn main() {
         "the long-RTT stream kept pace with the short one (ratio {:.2}) — the paper's §2.1 failure mode does not appear under UDT",
         ra.min(rb) as f64 / ra.max(rb).max(1) as f64
     );
+    // close() returned after the first Shutdown copy; let the spaced
+    // rest cross the emulated link before it and the process go away.
+    udt::drain_closing(Duration::from_secs(1));
     a.emu.shutdown();
     b.emu.shutdown();
 }
